@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/adj"
 	"repro/internal/baseline"
-	"repro/internal/bmf"
 	"repro/internal/conncomp"
 	"repro/internal/exact"
 	"repro/internal/graph"
@@ -210,7 +209,7 @@ func BenchmarkQueryApproxSSSP(b *testing.B) {
 	budget := h.Sched.HopBudget() * (h.Sched.Ell + 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bmf.Run(a, []int32{int32(i % g.N)}, budget, nil)
+		relax.Run(a, []int32{int32(i % g.N)}, budget, relax.Options{})
 	}
 }
 
@@ -626,7 +625,7 @@ func BenchmarkBellmanFordRound(b *testing.B) {
 	g := benchGraph(4096)
 	a := adj.Build(g, nil)
 	for i := 0; i < b.N; i++ {
-		bmf.Run(a, []int32{0}, 20, nil)
+		relax.Run(a, []int32{0}, 20, relax.Options{})
 	}
 }
 

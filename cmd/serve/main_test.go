@@ -15,18 +15,23 @@ import (
 )
 
 // TestServeDistEndToEnd wires the same pipeline as main() — generate a
-// graph, build the engine, mount the handler — and answers a /dist
-// request over real HTTP.
+// graph, build the engine, register it as the default graph, mount the
+// registry handler — and answers a /dist request over real HTTP.
 func TestServeDistEndToEnd(t *testing.T) {
 	g := graph.Gnm(256, 1024, graph.UniformWeights(1, 8), 1)
 	eng, err := oracle.New(g, append(buildOpts(0.25, true), oracle.WithDistCache(64))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(oracle.NewHandler(eng))
+	reg := oracle.NewRegistry(oracle.RegistryConfig{HotPairCache: 64})
+	defer reg.Close()
+	if err := reg.AddReady("default", eng); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(oracle.NewRegistryHandler(reg))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/dist?source=0&target=255")
+	resp, err := http.Get(srv.URL + "/graphs/default/dist?source=0&target=255")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adj"
 	"repro/internal/bmf"
+	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 )
@@ -33,7 +34,7 @@ func bellmanFordRef(g *graph.Graph, s int32) []float64 {
 func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := graph.Gnm(60, 180, graph.UniformWeights(1, 9), seed)
-		dist, parent := DijkstraGraph(g, 0)
+		dist, parent := exact.DijkstraGraph(g, 0)
 		want := bellmanFordRef(g, 0)
 		for v := 0; v < g.N; v++ {
 			if math.Abs(dist[v]-want[v]) > 1e-9 {
@@ -59,7 +60,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 
 func TestDijkstraDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{graph.E(0, 1, 2)})
-	dist, _ := DijkstraGraph(g, 0)
+	dist, _ := exact.DijkstraGraph(g, 0)
 	if dist[0] != 0 || dist[1] != 2 {
 		t.Fatalf("dist=%v", dist)
 	}
@@ -81,7 +82,7 @@ func TestRandHopsetStretchAndSize(t *testing.T) {
 		byU[e.U] = append(byU[e.U], e)
 	}
 	for u, es := range byU {
-		dist, _ := DijkstraGraph(ng, u)
+		dist, _ := exact.DijkstraGraph(ng, u)
 		for _, e := range es {
 			if e.W < dist[e.V]-1e-9 {
 				t.Fatalf("edge (%d,%d) w=%v below exact %v", e.U, e.V, e.W, dist[e.V])
@@ -96,8 +97,8 @@ func TestRandHopsetStretchAndSize(t *testing.T) {
 	a := adj.Build(ng, extras)
 	budget := sched.HopBudget() * (sched.Ell + 2)
 	for _, s := range []int32{0, 64, 127} {
-		exact, _ := DijkstraGraph(ng, s)
-		if r := bmf.RoundsToApprox(a, []int32{s}, exact, 0.25, budget, nil); r < 0 {
+		ref, _ := exact.DijkstraGraph(ng, s)
+		if r := bmf.RoundsToApprox(a, []int32{s}, ref, 0.25, budget, nil); r < 0 {
 			t.Fatalf("source %d: randomized hopset missed (1+ε) within %d rounds", s, budget)
 		}
 	}

@@ -1,3 +1,9 @@
+// Package baseline provides the reference algorithms the reproduction is
+// judged against, besides exact sequential Dijkstra (package exact, the
+// ground truth for stretch): plain parallel Bellman–Ford without a hopset
+// (the motivation baseline — depth proportional to the hop diameter), and
+// a randomized sampling-based hopset in the style the paper derandomizes
+// ([Coh94, EN19], experiment E10).
 package baseline
 
 import (
@@ -7,6 +13,7 @@ import (
 
 	"repro/internal/adj"
 	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 	"repro/internal/limbfs"
@@ -188,7 +195,7 @@ func appendInterconnects(out []hopset.Edge, part *cluster.Partition, recs [][]li
 // diameter for eps → 0).
 func PlainBFRounds(g *graph.Graph, s int32, eps float64) int {
 	a := adj.Build(g, nil)
-	ref, _ := Dijkstra(a, s)
+	ref, _ := exact.Dijkstra(a, s)
 	n := g.N
 	dist := make([]float64, n)
 	for v := range dist {

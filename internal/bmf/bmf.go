@@ -4,10 +4,8 @@
 // d^{(r)}(sources, v). With a (1+ε, β)-hopset, β rounds give
 // (1+ε)-approximate distances (Theorem 3.8).
 //
-// Since the frontier-sparse refactor the actual relaxation lives in
-// internal/relax; this package is the thin historical entry point. New
-// code that needs per-round control or engine statistics should use
-// package relax directly.
+// The relaxation itself lives in internal/relax (relax.Run runs r rounds);
+// this package keeps the hopbound measurement built on top of it.
 package bmf
 
 import (
@@ -19,21 +17,6 @@ import (
 	"repro/internal/pram"
 	"repro/internal/relax"
 )
-
-// Result of one exploration. It is the relaxation engine's result type;
-// see relax.Result for the field and Stats documentation.
-type Result = relax.Result
-
-// Run executes up to maxRounds synchronous Bellman–Ford rounds from the
-// given sources over a. Ties are broken deterministically by
-// (distance, parent vertex, arc index), so the result — including the
-// shortest-path forest — is schedule-independent.
-//
-// Run is safe for concurrent use: a is only read, and all mutable state
-// is either freshly allocated or drawn from a pool per call.
-func Run(a *adj.Adj, sources []int32, maxRounds int, tr *pram.Tracker) *Result {
-	return relax.Run(a, sources, maxRounds, relax.Options{Tracker: tr})
-}
 
 // RoundsToApprox returns the smallest round budget r ≤ maxRounds such that
 // the r-hop-bounded distances from the sources are within a (1+eps) factor

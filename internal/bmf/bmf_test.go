@@ -9,13 +9,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/pram"
+	"repro/internal/relax"
 )
 
 func TestConvergedMatchesDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.Gnm(100, 300, graph.UniformWeights(1, 7), seed)
 		a := adj.Build(g, nil)
-		res := Run(a, []int32{0}, g.N, nil)
+		res := relax.Run(a, []int32{0}, g.N, relax.Options{})
 		if !res.Converged {
 			t.Fatal("did not converge within n rounds")
 		}
@@ -35,11 +36,11 @@ func TestHopLimitedSemantics(t *testing.T) {
 		graph.E(0, 1, 1), graph.E(1, 2, 1), graph.E(2, 3, 1), graph.E(0, 3, 10),
 	})
 	a := adj.Build(g, nil)
-	r1 := Run(a, []int32{0}, 1, nil)
+	r1 := relax.Run(a, []int32{0}, 1, relax.Options{})
 	if r1.Dist[3] != 10 { // one hop: only the direct edge
 		t.Fatalf("1-hop dist = %v want 10", r1.Dist[3])
 	}
-	r3 := Run(a, []int32{0}, 3, nil)
+	r3 := relax.Run(a, []int32{0}, 3, relax.Options{})
 	if r3.Dist[3] != 3 {
 		t.Fatalf("3-hop dist = %v want 3", r3.Dist[3])
 	}
@@ -48,7 +49,7 @@ func TestHopLimitedSemantics(t *testing.T) {
 func TestMultiSource(t *testing.T) {
 	g := graph.Path(10, graph.UnitWeights(), 1)
 	a := adj.Build(g, nil)
-	res := Run(a, []int32{0, 9}, g.N, nil)
+	res := relax.Run(a, []int32{0, 9}, g.N, relax.Options{})
 	want := []float64{0, 1, 2, 3, 4, 4, 3, 2, 1, 0}
 	for v, w := range want {
 		if res.Dist[v] != w {
@@ -60,7 +61,7 @@ func TestMultiSource(t *testing.T) {
 func TestParentsFormShortestPathForest(t *testing.T) {
 	g := graph.Gnm(80, 240, graph.UniformWeights(1, 5), 3)
 	a := adj.Build(g, nil)
-	res := Run(a, []int32{0}, g.N, nil)
+	res := relax.Run(a, []int32{0}, g.N, relax.Options{})
 	for v := int32(0); int(v) < g.N; v++ {
 		if v == 0 {
 			if res.Parent[v] != -1 {
@@ -88,7 +89,7 @@ func TestParentsFormShortestPathForest(t *testing.T) {
 func TestPathTo(t *testing.T) {
 	g := graph.Path(6, graph.UnitWeights(), 1)
 	a := adj.Build(g, nil)
-	res := Run(a, []int32{0}, 10, nil)
+	res := relax.Run(a, []int32{0}, 10, relax.Options{})
 	path := res.PathTo(5)
 	want := []int32{0, 1, 2, 3, 4, 5}
 	if len(path) != len(want) {
@@ -101,7 +102,7 @@ func TestPathTo(t *testing.T) {
 	}
 	// Unreached vertex: disconnected graph.
 	g2 := graph.MustFromEdges(3, []graph.Edge{graph.E(0, 1, 1)})
-	res2 := Run(adj.Build(g2, nil), []int32{0}, 5, nil)
+	res2 := relax.Run(adj.Build(g2, nil), []int32{0}, 5, relax.Options{})
 	if res2.PathTo(2) != nil {
 		t.Fatal("unreached vertex returned a path")
 	}
@@ -110,7 +111,7 @@ func TestPathTo(t *testing.T) {
 func TestUnreachableStaysInf(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{graph.E(0, 1, 1), graph.E(2, 3, 1)})
 	a := adj.Build(g, nil)
-	res := Run(a, []int32{0}, 10, nil)
+	res := relax.Run(a, []int32{0}, 10, relax.Options{})
 	if !math.IsInf(res.Dist[2], 1) || !math.IsInf(res.Dist[3], 1) {
 		t.Fatalf("disconnected vertices reached: %v", res.Dist)
 	}
@@ -122,10 +123,10 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.Gnm(400, 1600, graph.UniformWeights(1, 9), 7)
 	a := adj.Build(g, nil)
 	par.SetWorkers(1)
-	ref := Run(a, []int32{5}, 50, nil)
+	ref := relax.Run(a, []int32{5}, 50, relax.Options{})
 	for _, w := range []int{2, 8} {
 		par.SetWorkers(w)
-		got := Run(a, []int32{5}, 50, nil)
+		got := relax.Run(a, []int32{5}, 50, relax.Options{})
 		for v := 0; v < g.N; v++ {
 			if got.Dist[v] != ref.Dist[v] || got.Parent[v] != ref.Parent[v] {
 				t.Fatalf("workers=%d vertex %d differs", w, v)
@@ -174,7 +175,7 @@ func TestRoundsToApproxConvergedShort(t *testing.T) {
 func TestTrackerCharged(t *testing.T) {
 	tr := pram.New()
 	g := graph.Path(20, graph.UnitWeights(), 1)
-	Run(adj.Build(g, nil), []int32{0}, 5, tr)
+	relax.Run(adj.Build(g, nil), []int32{0}, 5, relax.Options{Tracker: tr})
 	if c := tr.Snapshot(); c.Depth != 5 || c.Work == 0 {
 		t.Fatalf("tracker: %v", c)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/pram"
+	"repro/internal/relax"
 	"repro/internal/testkit"
 )
 
@@ -69,7 +70,7 @@ func checkStretch(t *testing.T, h *Hopset, eps float64) (maxRounds int) {
 		exact, _ := exact.DijkstraGraph(h.G, s)
 		// Lower bound (soundness of the union graph): even fully converged
 		// distances in G∪H can never undershoot d_G.
-		res := bmf.Run(a, []int32{s}, n+1, nil)
+		res := relax.Run(a, []int32{s}, n+1, relax.Options{})
 		for v := 0; v < n; v++ {
 			if math.IsInf(exact[v], 1) {
 				if !math.IsInf(res.Dist[v], 1) {
@@ -353,8 +354,8 @@ func TestHopReduction(t *testing.T) {
 	// fewer rounds than over G on a high-diameter graph.
 	g := graph.Path(256, graph.UnitWeights(), 1)
 	h := build(t, g, Params{Epsilon: 0.3})
-	plain := bmf.Run(adj.Build(g, nil), []int32{0}, g.N, nil)
-	with := bmf.Run(adj.Build(h.G, h.Extras()), []int32{0}, g.N, nil)
+	plain := relax.Run(adj.Build(g, nil), []int32{0}, g.N, relax.Options{})
+	with := relax.Run(adj.Build(h.G, h.Extras()), []int32{0}, g.N, relax.Options{})
 	if !plain.Converged || !with.Converged {
 		t.Fatal("BF did not converge")
 	}

@@ -14,12 +14,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/adj"
-	"repro/internal/bmf"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 	"repro/internal/pathrep"
+	"repro/internal/relax"
 	"repro/internal/testkit"
 )
 
@@ -219,8 +219,8 @@ func TestSerializationPipeline(t *testing.T) {
 	budget := h.Sched.HopBudget() * (h.Sched.Ell + 2)
 	a1 := adj.Build(h.G, h.Extras())
 	a2 := adj.Build(h2.G, h2.Extras())
-	r1 := bmf.Run(a1, []int32{0}, budget, nil)
-	r2 := bmf.Run(a2, []int32{0}, budget, nil)
+	r1 := relax.Run(a1, []int32{0}, budget, relax.Options{})
+	r2 := relax.Run(a2, []int32{0}, budget, relax.Options{})
 	for v := 0; v < g.N; v++ {
 		if r1.Dist[v] != r2.Dist[v] {
 			t.Fatalf("v %d: %v vs %v after round trip", v, r1.Dist[v], r2.Dist[v])

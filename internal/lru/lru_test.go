@@ -3,7 +3,7 @@ package lru
 import "testing"
 
 func TestLRUHitMissEvict(t *testing.T) {
-	c := New[int](2)
+	c := New[int32, int](2)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("empty cache returned a value")
 	}
@@ -30,7 +30,7 @@ func TestLRUHitMissEvict(t *testing.T) {
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
-	c := New[int](2)
+	c := New[int32, int](2)
 	c.Add(1, 10)
 	c.Add(2, 20)
 	c.Add(1, 11) // update, not insert: no eviction
@@ -48,7 +48,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := New[int](0)
+	c := New[int32, int](0)
 	c.Add(1, 10)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("disabled cache stored a value")
@@ -59,7 +59,7 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 func TestLRUNil(t *testing.T) {
-	var c *Cache[int]
+	var c *Cache[int32, int]
 	c.Add(1, 10) // must not panic
 	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache returned a value")
@@ -67,4 +67,29 @@ func TestLRUNil(t *testing.T) {
 	if st := c.Snapshot(); st != (Stats{}) {
 		t.Errorf("nil stats = %+v", st)
 	}
+}
+
+func TestLRUDeleteFunc(t *testing.T) {
+	c := New[int32, int](4)
+	for k := int32(1); k <= 4; k++ {
+		c.Add(k, int(k)*10)
+	}
+	c.DeleteFunc(func(k int32) bool { return k%2 == 0 })
+	for k := int32(1); k <= 4; k++ {
+		_, ok := c.Get(k)
+		if want := k%2 == 1; ok != want {
+			t.Errorf("Get(%d) present=%v after DeleteFunc, want %v", k, ok, want)
+		}
+	}
+	// Deleted entries are not evictions, and their slots are free again.
+	if st := c.Snapshot(); st.Evictions != 0 || st.Len != 2 {
+		t.Errorf("stats after DeleteFunc = %+v", st)
+	}
+	c.Add(5, 50)
+	c.Add(6, 60)
+	if st := c.Snapshot(); st.Evictions != 0 || st.Len != 4 {
+		t.Errorf("stats after refill = %+v", st)
+	}
+	var nilCache *Cache[int32, int]
+	nilCache.DeleteFunc(func(int32) bool { return true }) // must not panic
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hopset"
 	"repro/internal/par"
 	"repro/internal/pathrep"
+	"repro/internal/relax"
 )
 
 // wideWeightGraph returns a connected graph whose weights span many powers
@@ -29,7 +30,7 @@ func checkKSStretch(t *testing.T, r *Result, eps float64) {
 	n := h.G.N
 	for _, s := range []int32{0, int32(n / 2), int32(n - 1)} {
 		ref, _ := exact.DijkstraGraph(h.G, s)
-		res := bmf.Run(a, []int32{s}, n+1, nil)
+		res := relax.Run(a, []int32{s}, n+1, relax.Options{})
 		for v := 0; v < n; v++ {
 			if math.IsInf(ref[v], 1) {
 				continue

@@ -52,8 +52,8 @@ type Engine struct {
 	// steps) — too slow for per-stats-poll recomputation under locks).
 	memBytes int64
 
-	distCache *lru.Cache[[]float64]
-	treeCache *lru.Cache[*Tree]
+	distCache *lru.Cache[int32, []float64]
+	treeCache *lru.Cache[int32, *Tree]
 	batcher   *distBatcher
 
 	distFlight flight[[]float64]
@@ -82,8 +82,8 @@ func newEngine(solver *core.Solver, cfg config) *Engine {
 	e := &Engine{
 		solver:    solver,
 		n:         solver.N(),
-		distCache: lru.New[[]float64](cfg.distCache),
-		treeCache: lru.New[*Tree](cfg.treeCache),
+		distCache: lru.New[int32, []float64](cfg.distCache),
+		treeCache: lru.New[int32, *Tree](cfg.treeCache),
 	}
 	if cfg.batchWindow > 0 {
 		e.batcher = newDistBatcher(cfg.batchWindow, solver.ApproxMultiSource, e.distCache.Add)

@@ -20,8 +20,9 @@
 //	st := eng.Stats()              // cache and batching counters
 //
 // Engines can be persisted with SaveSnapshot and revived with LoadSnapshot
-// without repeating the build. Package oracle/…/cmd/serve exposes an
-// Engine over HTTP via NewHandler.
+// without repeating the build. A Registry serves many named engines with
+// background builds and hot reloads; NewRegistryHandler exposes it over
+// HTTP, as cmd/serve does.
 package oracle
 
 import (

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/lru"
 	"repro/internal/par"
 )
 
@@ -199,8 +200,16 @@ type Registry struct {
 	graphs map[string]*graphEntry
 	closed bool
 
-	// hot is the hot-pair result cache (nil = disabled).
-	hot *hotCache
+	// hot is the hot-pair result cache (nil = disabled): one
+	// version-tagged row per (graph, source), see swr.go.
+	hot           *lru.Cache[hotKey, hotEntry]
+	staleHits     atomic.Int64
+	revalidations atomic.Int64
+	// reval tracks in-flight background revalidations (singleflight per
+	// key, bounded in total by maxReval so a reload storm over a huge hot
+	// set cannot spawn unbounded goroutines).
+	revalMu sync.Mutex
+	reval   map[hotKey]struct{}
 
 	clock        atomic.Int64 // logical LRU clock, ticked per query
 	queries      atomic.Int64
@@ -262,7 +271,8 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		graphs: make(map[string]*graphEntry),
 	}
 	if cfg.HotPairCache > 0 {
-		r.hot = newHotCache(cfg.HotPairCache)
+		r.hot = lru.New[hotKey, hotEntry](cfg.HotPairCache)
+		r.reval = make(map[hotKey]struct{})
 	}
 	return r
 }
@@ -274,19 +284,10 @@ func (r *Registry) Add(name string, src EngineSource) error {
 	if name == "" || src == nil {
 		return errors.New("oracle: Add needs a name and a source")
 	}
-	e := &graphEntry{name: name, source: src, status: StatusPending, changed: make(chan struct{})}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrRegistryClosed
+	e, err := r.register(name, src)
+	if err != nil {
+		return err
 	}
-	if _, dup := r.graphs[name]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrDuplicateGraph, name)
-	}
-	r.graphs[name] = e
-	r.mu.Unlock()
-
 	e.mu.Lock()
 	r.scheduleBuildLocked(e)
 	e.mu.Unlock()
@@ -294,13 +295,46 @@ func (r *Registry) Add(name string, src EngineSource) error {
 }
 
 // AddReady registers an already-built backend under name, immediately
-// ready. Reload re-publishes the same backend; use Add with a source for
-// rebuildable graphs.
+// ready: the backend is published before AddReady returns, so an Acquire
+// right after it succeeds. Reload re-publishes the same backend; use Add
+// with a source for rebuildable graphs.
 func (r *Registry) AddReady(name string, eng Backend) error {
-	if eng == nil {
-		return errors.New("oracle: AddReady needs an engine")
+	if name == "" || eng == nil {
+		return errors.New("oracle: AddReady needs a name and an engine")
 	}
-	return r.Add(name, func(context.Context, ...Option) (Backend, error) { return eng, nil })
+	// Count the publish as build work so Close, which waits for the build
+	// WaitGroup before retiring engines, cannot retire the entry before
+	// its handle lands.
+	r.buildMu.Lock()
+	if r.noBuilds {
+		r.buildMu.Unlock()
+		return ErrRegistryClosed
+	}
+	r.wg.Add(1)
+	r.buildMu.Unlock()
+	defer r.wg.Done()
+	e, err := r.register(name, func(context.Context, ...Option) (Backend, error) { return eng, nil })
+	if err != nil {
+		return err
+	}
+	r.finishBuild(e, eng, nil)
+	return nil
+}
+
+// register inserts a pending entry for name, refusing duplicates and a
+// closed registry.
+func (r *Registry) register(name string, src EngineSource) (*graphEntry, error) {
+	e := &graphEntry{name: name, source: src, status: StatusPending, changed: make(chan struct{})}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, ErrRegistryClosed
+	}
+	if _, dup := r.graphs[name]; dup {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateGraph, name)
+	}
+	r.graphs[name] = e
+	return e, nil
 }
 
 // Remove unregisters a graph: its in-flight build (if any) is canceled and
@@ -335,7 +369,7 @@ func (r *Registry) Remove(name string) error {
 	if r.hot != nil {
 		// Drop the graph's rows: a later Add under the same name restarts
 		// the version counter, which would alias stale rows as fresh.
-		r.hot.purge(name)
+		r.purgeHot(name)
 	}
 	return nil
 }
@@ -448,19 +482,21 @@ func (r *Registry) finishBuild(e *graphEntry, eng Backend, err error) {
 		old.Release()
 	}
 	if err == nil {
-		r.enforceBudget()
+		r.enforceBudget(e)
 	}
 }
 
 // enforceBudget evicts least-recently-used ready graphs until the summed
-// engine memory fits the configured budget. The most-recently-used graph
-// is never evicted, so one oversized graph cannot thrash.
-func (r *Registry) enforceBudget() {
+// engine memory fits the configured budget. keep — the graph whose build
+// just landed — is never evicted, so a build cannot evict itself and one
+// oversized graph cannot thrash.
+func (r *Registry) enforceBudget(keep *graphEntry) {
 	if r.cfg.MemoryBudget <= 0 {
 		return
 	}
 	type resident struct {
 		e        *graphEntry
+		h        *Handle
 		bytes    int64
 		lastUsed int64
 	}
@@ -477,7 +513,7 @@ func (r *Registry) enforceBudget() {
 		e.mu.Lock()
 		if e.handle != nil {
 			b := e.handle.Engine().MemoryBytes()
-			ready = append(ready, resident{e, b, e.lastUsed.Load()})
+			ready = append(ready, resident{e, e.handle, b, e.lastUsed.Load()})
 			total += b
 		}
 		e.mu.Unlock()
@@ -486,14 +522,19 @@ func (r *Registry) enforceBudget() {
 		return
 	}
 	sort.Slice(ready, func(i, j int) bool { return ready[i].lastUsed < ready[j].lastUsed })
-	for _, cand := range ready[:len(ready)-1] { // keep the MRU graph
+	for _, cand := range ready {
 		if total <= r.cfg.MemoryBudget {
 			break
 		}
+		if cand.e == keep {
+			continue
+		}
 		var old *Handle
 		cand.e.mu.Lock()
-		// Re-check under the lock: a query or reload may have landed.
-		if cand.e.handle != nil && !cand.e.building && cand.e.lastUsed.Load() == cand.lastUsed {
+		// Re-check under the lock: a reload or an earlier eviction may
+		// have landed. Recency is not re-checked — every query bumps it,
+		// so under steady traffic no candidate would ever qualify.
+		if cand.e.handle == cand.h && !cand.e.building {
 			old = cand.e.handle
 			cand.e.handle = nil
 			cand.e.status = StatusEvicted
@@ -511,7 +552,7 @@ func (r *Registry) enforceBudget() {
 				// rebuild lands, so they would serve stale for an unbounded
 				// window (and hold memory against the very budget that
 				// triggered the eviction). Drop them with the engine.
-				r.hot.purge(cand.e.name)
+				r.purgeHot(cand.e.name)
 			}
 		}
 	}
@@ -804,7 +845,7 @@ func (r *Registry) Stats() RegistryStats {
 		MemoryBudget: r.cfg.MemoryBudget,
 	}
 	if r.hot != nil {
-		hp := r.hot.stats()
+		hp := r.hotStats()
 		st.HotPair = &hp
 	}
 	for _, gi := range r.List() {

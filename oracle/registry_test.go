@@ -516,3 +516,35 @@ func TestRegistryWaitReadyContext(t *testing.T) {
 		t.Fatalf("WaitReady: %v", err)
 	}
 }
+
+// TestAddReadyImmediatelyReady: AddReady publishes the backend before it
+// returns, so an Acquire straight after it never sees a pending graph
+// (run with -race). An AddReady racing Close either lands or reports
+// ErrRegistryClosed.
+func TestAddReadyImmediatelyReady(t *testing.T) {
+	eng, err := New(registryGraph(40, 5), WithEpsilon(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		r := NewRegistry(RegistryConfig{})
+		if err := r.AddReady("g", eng); err != nil {
+			t.Fatal(err)
+		}
+		h, err := r.Acquire("g")
+		if err != nil {
+			t.Fatalf("iteration %d: Acquire right after AddReady: %v", i, err)
+		}
+		if h.Version() != 1 || h.Engine() != Backend(eng) {
+			t.Fatalf("iteration %d: handle version %d, engine %v", i, h.Version(), h.Engine())
+		}
+		h.Release()
+
+		done := make(chan error, 1)
+		go func() { done <- r.AddReady("h", eng) }()
+		r.Close()
+		if err := <-done; err != nil && !errors.Is(err, ErrRegistryClosed) {
+			t.Fatalf("iteration %d: AddReady racing Close: %v", i, err)
+		}
+	}
+}

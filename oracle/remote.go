@@ -181,6 +181,13 @@ func (b *RemoteBackend) do(ctx context.Context, method, path string, body, out a
 	return nil
 }
 
+// shapeError reports a 2xx response that decoded but does not have the
+// shape the request implies — a buggy or mismatched worker. Handing it on
+// would let the router's stitching index a short row out of range.
+func shapeError(format string, args ...any) error {
+	return &RemoteError{Status: http.StatusOK, Msg: "bad response shape: " + fmt.Sprintf(format, args...)}
+}
+
 // graphPath builds /graphs/{name}/{verb}.
 func (b *RemoteBackend) graphPath(verb string) string {
 	return "/graphs/" + url.PathEscape(b.graph) + "/" + verb
@@ -239,6 +246,14 @@ func (b *RemoteBackend) MultiSourceContext(ctx context.Context, sources []int32)
 	body := sourcesRequest{Sources: sources}
 	if err := b.do(ctx, http.MethodPost, b.graphPath("multi"), body, &resp); err != nil {
 		return nil, err
+	}
+	if len(resp.Rows) != len(sources) {
+		return nil, shapeError("multi: %d rows for %d sources", len(resp.Rows), len(sources))
+	}
+	for i, row := range resp.Rows {
+		if len(row) != len(resp.Rows[0]) {
+			return nil, shapeError("multi: row %d has %d entries, row 0 has %d", i, len(row), len(resp.Rows[0]))
+		}
 	}
 	out := make([][]float64, len(resp.Rows))
 	for i, row := range resp.Rows {
@@ -334,6 +349,14 @@ func (b *RemoteBackend) MatrixContext(ctx context.Context, sources, targets []in
 	body := matrixRequest{Sources: sources, Targets: targets}
 	if err := b.do(ctx, http.MethodPost, b.graphPath("matrix"), body, &resp); err != nil {
 		return nil, err
+	}
+	if len(resp.Matrix) != len(sources) {
+		return nil, shapeError("matrix: %d rows for %d sources", len(resp.Matrix), len(sources))
+	}
+	for i, row := range resp.Matrix {
+		if len(row) != len(targets) {
+			return nil, shapeError("matrix: row %d has %d entries for %d targets", i, len(row), len(targets))
+		}
 	}
 	out := make([][]float64, len(resp.Matrix))
 	for i, row := range resp.Matrix {

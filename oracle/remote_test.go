@@ -302,3 +302,68 @@ func TestRemoteBackendMatchesEngine(t *testing.T) {
 		t.Fatalf("Healthz: %v", err)
 	}
 }
+
+// TestRemoteBackendRejectsBadShapes: a worker answering /matrix or /multi
+// with the wrong number of rows, or with short or ragged rows, gets a
+// typed *RemoteError (ErrRemote) instead of a malformed result the
+// router's stitching would index out of range.
+func TestRemoteBackendRejectsBadShapes(t *testing.T) {
+	sources, targets := []int32{0, 1}, []int32{0, 1, 2}
+	for _, c := range []struct {
+		name, body string
+		call       func(*RemoteBackend) error
+	}{
+		{"matrix short row", `{"matrix":[[1,2,3],[1,2]]}`, func(b *RemoteBackend) error {
+			_, err := b.Matrix(sources, targets)
+			return err
+		}},
+		{"matrix row count", `{"matrix":[[1,2,3]]}`, func(b *RemoteBackend) error {
+			_, err := b.Matrix(sources, targets)
+			return err
+		}},
+		{"matrix missing", `{}`, func(b *RemoteBackend) error {
+			_, err := b.Matrix(sources, targets)
+			return err
+		}},
+		{"multi row count", `{"rows":[[0,1,2],[1,0,1],[2,1,0]]}`, func(b *RemoteBackend) error {
+			_, err := b.MultiSource(sources)
+			return err
+		}},
+		{"multi short row", `{"rows":[[0,1,2],[1,0]]}`, func(b *RemoteBackend) error {
+			_, err := b.MultiSource(sources)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprint(w, c.body)
+			}))
+			defer srv.Close()
+			err := c.call(NewRemoteBackend(srv.URL, "g", nil))
+			var re *RemoteError
+			if !errors.As(err, &re) || !errors.Is(err, ErrRemote) {
+				t.Fatalf("err = %v, want a *RemoteError matching ErrRemote", err)
+			}
+		})
+	}
+
+	// Well-shaped answers still pass, nulls decoding to +Inf.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/graphs/g/matrix" {
+			fmt.Fprint(w, `{"matrix":[[0,1,null],[1,0,1]]}`)
+			return
+		}
+		fmt.Fprint(w, `{"rows":[[0,1],[1,0]]}`)
+	}))
+	defer srv.Close()
+	b := NewRemoteBackend(srv.URL, "g", nil)
+	m, err := b.Matrix(sources, targets)
+	if err != nil || len(m) != 2 || !math.IsInf(m[0][2], 1) {
+		t.Fatalf("well-shaped matrix = %v, %v", m, err)
+	}
+	if rows, err := b.MultiSource(sources); err != nil || len(rows) != 2 {
+		t.Fatalf("well-shaped multi = %v, %v", rows, err)
+	}
+}

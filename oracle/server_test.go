@@ -12,6 +12,8 @@ import (
 	"repro/internal/graph"
 )
 
+// newTestServer serves one path-reporting engine as graph "g" through
+// the registry handler, with the hot-pair cache on as in cmd/serve.
 func newTestServer(t *testing.T) (*Engine, *graph.Graph, *httptest.Server) {
 	t.Helper()
 	g := graph.Gnm(200, 800, graph.UniformWeights(1, 8), 11)
@@ -19,7 +21,12 @@ func newTestServer(t *testing.T) (*Engine, *graph.Graph, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(eng))
+	r := NewRegistry(RegistryConfig{HotPairCache: 64})
+	t.Cleanup(r.Close)
+	if err := r.AddReady("g", eng); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewRegistryHandler(r))
 	t.Cleanup(srv.Close)
 	return eng, g, srv
 }
@@ -37,7 +44,7 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// TestServerDistEndToEnd: GET /dist on a generated graph returns scalar
+// TestServerDistEndToEnd: GET /graphs/{name}/dist on a generated graph returns scalar
 // and vector answers that satisfy the (1+ε) guarantee against Dijkstra.
 func TestServerDistEndToEnd(t *testing.T) {
 	_, g, srv := newTestServer(t)
@@ -48,7 +55,7 @@ func TestServerDistEndToEnd(t *testing.T) {
 		Target int32    `json:"target"`
 		Dist   *float64 `json:"dist"`
 	}
-	if code := getJSON(t, srv.URL+"/dist?source=0&target=99", &scalar); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/g/dist?source=0&target=99", &scalar); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if scalar.Dist == nil {
@@ -62,7 +69,7 @@ func TestServerDistEndToEnd(t *testing.T) {
 		Source int32      `json:"source"`
 		Dist   []*float64 `json:"dist"`
 	}
-	if code := getJSON(t, srv.URL+"/dist?source=0", &vector); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/g/dist?source=0", &vector); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(vector.Dist) != g.N {
@@ -81,6 +88,9 @@ func TestServerDistEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerPathAndStats: a served path is a real walk of the graph whose
+// edge weights sum to the served length, and the per-graph stats report
+// the graph, its hopset and the relaxation engine's counters.
 func TestServerPathAndStats(t *testing.T) {
 	eng, g, srv := newTestServer(t)
 	var pr struct {
@@ -88,7 +98,7 @@ func TestServerPathAndStats(t *testing.T) {
 		Length *float64 `json:"length"`
 	}
 	dest := int32(g.N - 1)
-	if code := getJSON(t, fmt.Sprintf("%s/path?from=0&to=%d", srv.URL, dest), &pr); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s/graphs/g/path?from=0&to=%d", srv.URL, dest), &pr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if pr.Length == nil || len(pr.Path) == 0 {
@@ -111,24 +121,14 @@ func TestServerPathAndStats(t *testing.T) {
 	}
 
 	var st struct {
-		Graph struct {
-			N int `json:"n"`
-			M int `json:"m"`
-		} `json:"graph"`
-		Hopset struct {
-			Edges   int     `json:"edges"`
-			Epsilon float64 `json:"epsilon"`
-		} `json:"hopset"`
-		Engine Stats `json:"engine"`
+		Graph  GraphInfo `json:"graph"`
+		Engine Stats     `json:"engine"`
 	}
-	if code := getJSON(t, srv.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/g/stats", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st.Graph.N != g.N || st.Graph.M != g.M() {
+	if st.Graph.N != g.N || st.Graph.HopsetEdges != eng.Hopset().Size() || st.Graph.Status != StatusReady {
 		t.Errorf("stats graph %+v", st.Graph)
-	}
-	if st.Hopset.Edges != eng.Hopset().Size() || st.Hopset.Epsilon != 0.25 {
-		t.Errorf("stats hopset %+v", st.Hopset)
 	}
 	if st.Engine.PathQueries < 1 || st.Engine.TreeQueries < 1 {
 		t.Errorf("stats engine %+v", st.Engine)
@@ -144,15 +144,17 @@ func TestServerPathAndStats(t *testing.T) {
 	}
 }
 
+// TestServerErrors: malformed and out-of-range vertex parameters are 400s
+// with an error body on every query route.
 func TestServerErrors(t *testing.T) {
 	_, _, srv := newTestServer(t)
 	for url, want := range map[string]int{
-		"/dist":                   http.StatusBadRequest, // missing source
-		"/dist?source=abc":        http.StatusBadRequest,
-		"/dist?source=100000":     http.StatusBadRequest, // out of range
-		"/path?from=0":            http.StatusBadRequest, // missing to
-		"/path?from=0&to=-5":      http.StatusBadRequest,
-		"/dist?source=0&target=x": http.StatusBadRequest,
+		"/graphs/g/dist":                   http.StatusBadRequest, // missing source
+		"/graphs/g/dist?source=abc":        http.StatusBadRequest,
+		"/graphs/g/dist?source=100000":     http.StatusBadRequest, // out of range
+		"/graphs/g/dist?source=0&target=x": http.StatusBadRequest,
+		"/graphs/g/path?from=0":            http.StatusBadRequest, // missing to
+		"/graphs/g/path?from=0&to=-5":      http.StatusBadRequest,
 	} {
 		var body map[string]any
 		if code := getJSON(t, srv.URL+url, &body); code != want {

@@ -366,6 +366,67 @@ func TestDistSWREvictRebuildHammer(t *testing.T) {
 		served.Load(), notReady.Load(), r.Stats().Evictions, builds1.Load(), builds2.Load())
 }
 
+// gatedBackend blocks Dist until release is closed, announcing on entered
+// that a computation is in flight.
+type gatedBackend struct {
+	Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b gatedBackend) Dist(source int32) ([]float64, error) {
+	close(b.entered)
+	<-b.release
+	return b.Backend.Dist(source)
+}
+
+// TestDistSWRFillAfterRemoveDropped pins the handle-checked fill: a miss
+// whose computation is still running when its graph is removed must not
+// cache its row after Remove's purge. Otherwise a re-registration under
+// the same name — whose version counter restarts at 1 — would serve the
+// removed generation's row as a fresh v1 hit.
+func TestDistSWRFillAfterRemoveDropped(t *testing.T) {
+	r := NewRegistry(RegistryConfig{HotPairCache: 64})
+	defer r.Close()
+	var builds1, builds2 atomic.Int64
+	old, err := versionedSource(&builds1, 0)(context.Background()) // dist[1] = 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := gatedBackend{Backend: old, entered: make(chan struct{}), release: make(chan struct{})}
+	if err := r.AddReady("g", gated); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.DistSWR("g", 0) // miss: computes on the old generation
+		done <- err
+	}()
+	<-gated.entered
+	if err := r.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := versionedSource(&builds2, 100)(context.Background()) // dist[1] = 101
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddReady("g", fresh); err != nil {
+		t.Fatal(err)
+	}
+	close(gated.release)
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight miss: %v", err)
+	}
+
+	res, err := r.DistSWR("g", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stale || res.Version != 1 || res.Dist[1] != 101 {
+		t.Fatalf("answer after re-add = %+v, want fresh v1 of the new generation (dist[1]=101)", res)
+	}
+}
+
 // TestDistSWRDisabledFallsBack: without a hot-pair cache DistSWR is
 // exactly Registry.Dist plus a version tag — never stale.
 func TestDistSWRDisabledFallsBack(t *testing.T) {

@@ -127,7 +127,7 @@ func NewRouter(ctx context.Context, man *graphio.ShardManifest, pl *Placement, c
 		}
 	}
 	if cfg.DistCache > 0 {
-		o.distCache = lru.New[[]float64](cfg.DistCache)
+		o.distCache = lru.New[int32, []float64](cfg.DistCache)
 	}
 	if cfg.ManifestDir != "" {
 		dir := cfg.ManifestDir

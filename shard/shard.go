@@ -184,7 +184,7 @@ type Oracle struct {
 
 	// distCache holds assembled global distance vectors per source (the
 	// shared internal/lru; nil = disabled).
-	distCache *lru.Cache[[]float64]
+	distCache *lru.Cache[int32, []float64]
 
 	// loadShard lazily loads one shard's subgraph when the shard engines
 	// are remote (set by NewRouter when a manifest directory is
@@ -257,7 +257,7 @@ func assemble(ctx context.Context, cfg Config, n int, part, localID []int32, pie
 		shards:        make([]shardState, len(pieces)),
 	}
 	if cfg.DistCache > 0 {
-		o.distCache = lru.New[[]float64](cfg.DistCache)
+		o.distCache = lru.New[int32, []float64](cfg.DistCache)
 	}
 
 	localOpts := engineOpts(cfg.EpsilonLocal, cfg, ctx, opts)
