@@ -189,21 +189,47 @@ func TestSizeBound(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossWorkers requires bit-identical Edges — and, in
+// path-reporting mode, identical memory paths step by step — at 1, 2 and
+// 8 workers. The unit-weight grid is full of exact ties, so its memory
+// paths show whether the limited BFS resolves ties (first offered wins)
+// independently of the worker count.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	old := par.Workers()
 	defer par.SetWorkers(old)
-	g := graph.Gnm(128, 512, graph.UniformWeights(1, 6), 11)
-	par.SetWorkers(1)
-	ref := build(t, g, defaultParams())
-	for _, w := range []int{2, 8} {
-		par.SetWorkers(w)
-		h := build(t, g, defaultParams())
-		if len(h.Edges) != len(ref.Edges) {
-			t.Fatalf("workers=%d: %d edges vs %d", w, len(h.Edges), len(ref.Edges))
-		}
-		for i := range ref.Edges {
-			if h.Edges[i] != ref.Edges[i] {
-				t.Fatalf("workers=%d edge %d: %+v vs %+v", w, i, h.Edges[i], ref.Edges[i])
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		p    Params
+	}{
+		{"gnm", graph.Gnm(128, 512, graph.UniformWeights(1, 6), 11), defaultParams()},
+		{"gnm-paths", graph.Gnm(128, 512, graph.UniformWeights(1, 6), 11), Params{Epsilon: 0.25, RecordPaths: true}},
+		{"grid-paths", graph.Grid(12, 12, graph.UnitWeights(), 1), Params{Epsilon: 0.25, RecordPaths: true}},
+	}
+	for _, tc := range cases {
+		par.SetWorkers(1)
+		ref := build(t, tc.g, tc.p)
+		for _, w := range []int{2, 8} {
+			par.SetWorkers(w)
+			h := build(t, tc.g, tc.p)
+			if len(h.Edges) != len(ref.Edges) || len(h.Paths) != len(ref.Paths) {
+				t.Fatalf("%s workers=%d: %d edges/%d paths vs %d/%d",
+					tc.name, w, len(h.Edges), len(h.Paths), len(ref.Edges), len(ref.Paths))
+			}
+			for i := range ref.Edges {
+				if h.Edges[i] != ref.Edges[i] {
+					t.Fatalf("%s workers=%d edge %d: %+v vs %+v", tc.name, w, i, h.Edges[i], ref.Edges[i])
+				}
+			}
+			for i := range ref.Paths {
+				if len(h.Paths[i]) != len(ref.Paths[i]) {
+					t.Fatalf("%s workers=%d path %d: %d steps vs %d", tc.name, w, i, len(h.Paths[i]), len(ref.Paths[i]))
+				}
+				for j := range ref.Paths[i] {
+					if h.Paths[i][j] != ref.Paths[i][j] {
+						t.Fatalf("%s workers=%d path %d step %d: %+v vs %+v", tc.name, w, i, j, h.Paths[i][j], ref.Paths[i][j])
+					}
+				}
 			}
 		}
 	}

@@ -22,10 +22,14 @@
 //   - Top-X pruning picks the X less()-smallest lanes — the same records
 //     selectBest keeps — and a dropped lane's word bit is cleared, which
 //     is the lane form of a dropped record not propagating further.
-//   - Aggregation emits each member's lanes in less()-sorted order, so
-//     the candidate sequence fed to selectBest is identical to the record
-//     path's, and the (unstable) sort inside selectBest sees the same
-//     input — same output, tie for tie.
+//   - Aggregation emits each member's lanes in lane order, not less()
+//     order, and selectBest still returns the record path's list, tie for
+//     tie. Its bounded selection keeps each source's less()-best record,
+//     the first offered among full ties, and the X best of those. One
+//     member's lanes have distinct sources, so no two of them tie fully:
+//     their order changes neither the winners nor the X best. Full ties
+//     only occur across members, and members are visited in the same
+//     order on both paths.
 //
 // Per round the tracker is charged frontArcs + scanArcs once — the shared
 // traversal — instead of the record path's scanArcs·X: that accounting
@@ -254,57 +258,32 @@ func (e *Explorer) propagateLanes(ls *laneScratch, seed []int32, kk int, laneSrc
 }
 
 // aggregateLanes is aggregate on lane state: each cluster merges its
-// members' lanes, materialized per member in less()-sorted order so
-// selectBest receives the exact candidate sequence the record path
-// builds.
+// members' lanes, in member order and per member in lane order (see the
+// package comment for why that order needs no sort).
 func (e *Explorer) aggregateLanes(ls *laneScratch, kk int, laneSrc []int32) [][]Record {
 	P := e.Part.Len()
 	out := make([][]Record, P)
-	centers := e.Part.Centers
 	word, bd, cd, sv := ls.word, ls.bd, ls.cd, ls.sv
 	var members int64
-	par.For(P, func(c int) {
+	par.ForChunk(P, func(lo, hi int) {
 		var cand []Record
-		var idxArr [relax.MaxBatch]int32
-		for _, v := range e.Part.Members[c] {
-			m := word[v]
-			if m == 0 {
-				continue
+		for c := lo; c < hi; c++ {
+			cand = cand[:0]
+			for _, v := range e.Part.Members[c] {
+				vb := int(v) * kk
+				for m := word[v]; m != 0; m &= m - 1 {
+					l := bits.TrailingZeros64(m)
+					cand = append(cand, Record{
+						Src:   laneSrc[l],
+						BDist: bd[vb+l],
+						CDist: cd[vb+l] + e.centerDist(v),
+						SeedV: sv[vb+l],
+						EndV:  v,
+					})
+				}
 			}
-			vb := int(v) * kk
-			idx := idxArr[:0]
-			for ; m != 0; m &= m - 1 {
-				idx = append(idx, int32(bits.TrailingZeros64(m)))
-			}
-			if len(idx) > 1 {
-				slices.SortFunc(idx, func(x, y int32) int {
-					switch {
-					case bd[vb+int(x)] < bd[vb+int(y)]:
-						return -1
-					case bd[vb+int(x)] > bd[vb+int(y)]:
-						return 1
-					}
-					cx, cy := centers[laneSrc[x]], centers[laneSrc[y]]
-					switch {
-					case cx < cy:
-						return -1
-					case cx > cy:
-						return 1
-					}
-					return 0
-				})
-			}
-			for _, l := range idx {
-				cand = append(cand, Record{
-					Src:   laneSrc[l],
-					BDist: bd[vb+int(l)],
-					CDist: cd[vb+int(l)] + e.centerDist(v),
-					SeedV: sv[vb+int(l)],
-					EndV:  v,
-				})
-			}
+			out[c] = e.selectBest(nil, cand, e.X)
 		}
-		out[c] = e.selectBest(nil, cand, e.X)
 	})
 	for c := 0; c < P; c++ {
 		members += int64(len(e.Part.Members[c]))

@@ -147,25 +147,50 @@ func (e *Explorer) less(a, b Record) int {
 	return 0
 }
 
-// selectBest sorts cand, removes duplicate sources (keeping the best), and
-// returns up to x records appended to dst[:0].
+// offer inserts r into best, a buffer of at most x records kept
+// less()-sorted with pairwise distinct Src, and returns the buffer and the
+// slot r landed in, or −1 if r was rejected. A full buffer rejects r at
+// once unless r beats its last record; r replaces a worse record of its own
+// source and is rejected by an equal or better one. Records fully tied
+// under less() therefore resolve to the first one offered.
+func (e *Explorer) offer(best []Record, r Record, x int) ([]Record, int) {
+	n := len(best)
+	if n == x && e.less(r, best[n-1]) >= 0 {
+		return best, -1
+	}
+	// p is the first slot r beats (a larger BDist settles less() without
+	// calling it); a same-source record ahead of it is at least as good.
+	p := 0
+	for ; p < n && (r.BDist > best[p].BDist || e.less(r, best[p]) >= 0); p++ {
+		if best[p].Src == r.Src {
+			return best, -1
+		}
+	}
+	// The slot to vacate: r's worse same-source record, else the last one
+	// (dropped when the buffer is full, a fresh slot otherwise).
+	j := p
+	for j < n && best[j].Src != r.Src {
+		j++
+	}
+	if j == n {
+		if n < x {
+			best = append(best, Record{})
+		} else {
+			j = n - 1
+		}
+	}
+	copy(best[p+1:j+1], best[p:j])
+	best[p] = r
+	return best, p
+}
+
+// selectBest returns the up to x less()-smallest records of cand with
+// distinct sources (each source's best), offered in cand order and
+// appended to dst[:0].
 func (e *Explorer) selectBest(dst, cand []Record, x int) []Record {
-	slices.SortFunc(cand, e.less)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], min(x, len(cand)))
 	for _, r := range cand {
-		dup := false
-		for _, o := range dst {
-			if o.Src == r.Src {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, r)
-			if len(dst) == x {
-				break
-			}
-		}
+		dst, _ = e.offer(dst, r, x)
 	}
 	return dst
 }
@@ -189,13 +214,15 @@ func sameRecs(a, b []Record) bool {
 // It runs on the frontier-sparse discipline of internal/relax: each round
 // recomputes only the closed neighborhood F ∪ N(F) of the vertices F
 // whose list changed in the previous round (initially the seeded
-// vertices). selectBest is an idempotent top-x selection, so a vertex
-// with unchanged inputs reproduces its list exactly — the output is
-// bit-identical to the naive all-vertices schedule while the work tracks
-// the active frontier, and the tracker is charged only for arcs actually
-// scanned. It stops early at a fixed point (the remaining rounds cannot
-// change anything, so the result is identical to running all HopCap
-// rounds).
+// vertices). A work vertex streams its candidates — its own list, then
+// each arc in CSR order extending the neighbor's list in order — through
+// offer into a bounded top-x buffer, with no candidate list and no sort.
+// The selection is idempotent, so a vertex with unchanged inputs
+// reproduces its list exactly — the output is bit-identical to the naive
+// all-vertices schedule while the work tracks the active frontier, and
+// the tracker is charged only for arcs actually scanned. It stops early
+// at a fixed point (the remaining rounds cannot change anything, so the
+// result is identical to running all HopCap rounds).
 //
 // seed is the initial frontier (every vertex with a nonempty list); nil
 // derives it by scanning L. Returns every vertex whose list was seeded or
@@ -232,27 +259,31 @@ func (e *Explorer) propagate(L [][]Record, seed []int32) (touched []int32) {
 		}
 		newRecs, wchg := sc.newRecs, sc.wchg
 		par.ForChunk(len(work), func(lo, hi int) {
-			var cand []Record
 			for i := lo; i < hi; i++ {
 				v := work[i]
-				cand = cand[:0]
-				cand = append(cand, L[v]...)
+				// L[v] is already a selection (less()-sorted, distinct
+				// sources, at most X records): copying it is offering it.
+				sel := append(newRecs[i][:0], L[v]...)
 				for arcI := e.A.Off[v]; arcI < e.A.Off[v+1]; arcI++ {
 					u := e.A.Nbr[arcI]
 					w := e.A.Wt[arcI]
-					for _, r := range L[u] {
+					// L[u] is less()-sorted and adding w is monotone, so
+					// once a candidate exceeds the cap or the full buffer's
+					// worst distance, every later one does too.
+					lu := L[u]
+					for k := range lu {
+						r := &lu[k]
 						nb := r.BDist + w
-						if nb > e.DistCap {
-							continue
+						if nb > e.DistCap || (len(sel) == e.X && nb > sel[e.X-1].BDist) {
+							break
 						}
-						nr := Record{Src: r.Src, BDist: nb, CDist: r.CDist + w, SeedV: r.SeedV, EndV: -1}
-						if e.RecordPaths {
-							nr.Path = append(append(make([]int32, 0, len(r.Path)+1), r.Path...), arcI)
+						var slot int
+						sel, slot = e.offer(sel, Record{Src: r.Src, BDist: nb, CDist: r.CDist + w, SeedV: r.SeedV, EndV: -1}, e.X)
+						if slot >= 0 && e.RecordPaths {
+							sel[slot].Path = append(append(make([]int32, 0, len(r.Path)+1), r.Path...), arcI)
 						}
-						cand = append(cand, nr)
 					}
 				}
-				sel := e.selectBest(newRecs[i][:0], cand, e.X)
 				newRecs[i] = sel
 				wchg[i] = !sameRecs(sel, L[v])
 			}
@@ -312,16 +343,19 @@ func (e *Explorer) aggregate(L [][]Record) [][]Record {
 	P := e.Part.Len()
 	out := make([][]Record, P)
 	var members int64
-	par.For(P, func(c int) {
+	par.ForChunk(P, func(lo, hi int) {
 		var cand []Record
-		for _, v := range e.Part.Members[c] {
-			for _, r := range L[v] {
-				r.CDist += e.centerDist(v)
-				r.EndV = v
-				cand = append(cand, r)
+		for c := lo; c < hi; c++ {
+			cand = cand[:0]
+			for _, v := range e.Part.Members[c] {
+				for _, r := range L[v] {
+					r.CDist += e.centerDist(v)
+					r.EndV = v
+					cand = append(cand, r)
+				}
 			}
+			out[c] = e.selectBest(nil, cand, e.X)
 		}
-		out[c] = e.selectBest(nil, cand, e.X)
 	})
 	for c := 0; c < P; c++ {
 		members += int64(len(e.Part.Members[c]))
